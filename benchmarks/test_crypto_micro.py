@@ -99,18 +99,6 @@ def test_lbl_full_access_160b(benchmark):
     assert transcript.num_rounds == 1
 
 
-def test_lbl_full_access_160b_cached(benchmark):
-    """The same access with a warm label cache (steady-state hot key)."""
-    config = StoreConfig(
-        value_len=160, group_bits=2, point_and_permute=True, label_cache_entries=-1
-    )
-    protocol = LblOrtoa(config, rng=random.Random(1))
-    protocol.initialize({"k": bytes(160)})
-    protocol.access(Request.read("k"))  # populate cache + prefetch
-    transcript = benchmark(protocol.access, Request.read("k"))
-    assert transcript.num_rounds == 1
-
-
 def test_fhe_multiply(benchmark):
     """The operation whose noise growth kills FHE-ORTOA (§3.3)."""
     scheme = FheScheme(FheParams(n=64, q_bits=120))

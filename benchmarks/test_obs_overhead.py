@@ -7,7 +7,7 @@ are measured here on the same interpreter, making the gate self-relative
 and machine-portable:
 
 1. **Disabled-path gate** — measured guard cost times a deliberately
-   generous per-access guard count must stay under 3% of a warm access.
+   generous per-access guard count must stay under 3% of an access.
 2. **Enabled-path record** — the full-capture slowdown (spans + metrics +
    histograms on) is recorded to the trajectory, ungated: capture is an
    opt-in diagnostic mode, not a production path.
@@ -28,15 +28,15 @@ from repro.core.lbl import LblOrtoa
 from repro.obs import _state
 from repro.types import Request, StoreConfig
 
-#: Paper §6 operating point, full kernel stack (matches test_kernel_speedup).
+#: Paper §6 operating point, batched kernels (matches test_kernel_speedup).
 POINT = {"value_len": 160, "group_bits": 2, "point_and_permute": True}
 
 #: Guards a single access can cross (client submit, server dispatch,
 #: sharded wrapper, counters, gauges, histograms, and the resource
-#: ledger's wire/op hooks in the PRF, AEAD, cache, and transport layers,
-#: plus the flight-recorder, tail-exemplar, and saturation-gauge sites:
+#: ledger's wire/op hooks in the PRF, AEAD, and transport layers, plus the
+#: flight-recorder, tail-exemplar, and saturation-gauge sites:
 #: shed/window/coalesce/procpool recorder events, exemplar consideration,
-#: cache hit/evict gauges, loop-lag and occupancy gauges).  A hand count
+#: loop-lag and occupancy gauges).  A hand count
 #: of the hot path finds ~12 telemetry sites, ~10 ledger sites, and ~8
 #: recorder/gauge/exemplar sites; 64 leaves headroom for future sites so
 #: the gate fails on a genuinely expensive guard, not on adding one more.
@@ -48,8 +48,8 @@ MAX_DISABLED_OVERHEAD = 0.03
 ROUNDS = 30
 
 
-def _warm_store() -> LblOrtoa:
-    config = StoreConfig(**POINT, label_cache_entries=-1)
+def _store() -> LblOrtoa:
+    config = StoreConfig(**POINT)
     store = LblOrtoa(config, rng=random.Random(7), batched=True)
     store.initialize({"k": bytes(config.value_len)})
     for _ in range(3):
@@ -86,7 +86,7 @@ def _guard_seconds(iterations: int = 200_000) -> float:
 def test_disabled_path_overhead_under_3pct():
     """Tentpole gate: guards crossed per access cost <3% of the access."""
     obs.disable()
-    store = _warm_store()
+    store = _store()
     access_s = _access_seconds(store)
     guard_s = _guard_seconds()
     overhead = (guard_s * GUARDS_PER_ACCESS) / access_s
@@ -110,7 +110,7 @@ def test_disabled_path_overhead_under_3pct():
         f"vs access {access_s * 1e6:.1f} us -> {overhead:.4%} (gate <3%)"
     )
     assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled instrumentation costs {overhead:.2%} of a warm access "
+        f"disabled instrumentation costs {overhead:.2%} of an access "
         f"({guard_s * 1e9:.0f} ns/guard x {GUARDS_PER_ACCESS}); "
         f"gate is {MAX_DISABLED_OVERHEAD:.0%}"
     )
@@ -119,7 +119,7 @@ def test_disabled_path_overhead_under_3pct():
 def test_enabled_capture_slowdown_recorded():
     """Trajectory record: full capture vs disabled (informational, ungated)."""
     obs.disable()
-    store = _warm_store()
+    store = _store()
     disabled_s = _access_seconds(store)
     with obs.capture():
         enabled_s = _access_seconds(store)
@@ -135,5 +135,5 @@ def test_enabled_capture_slowdown_recorded():
         f"\n[obs overhead] capture on: {enabled_s * 1e6:.1f} us/access "
         f"vs off: {disabled_s * 1e6:.1f} us -> {slowdown:.2f}x"
     )
-    # Sanity only: capture should never be catastrophic on a warm access.
+    # Sanity only: capture should never be catastrophic on an access.
     assert slowdown < 10.0

@@ -25,12 +25,11 @@ from repro.crypto.prf import Prf, encode_components, hmac_compressions
 from repro.errors import ConfigurationError
 from repro.types import StoreConfig
 
-#: Crypto backends the model covers.  ``stdlib``/``vector``/``procpool``
-#: share formulas (they run the same batched kernels — the lane engine and
-#: the worker pool change *where* hashing happens, never how much);
-#: ``scalar`` is the per-label reference path with its redundant per-entry
-#: permute derivations.
-MODEL_BACKENDS = ("scalar", "stdlib", "vector", "procpool")
+#: Crypto backends the model covers.  ``stdlib``/``procpool`` share formulas
+#: (they run the same batched kernels — the worker pool changes *where*
+#: hashing happens, never how much); ``scalar`` is the per-label reference
+#: path with its redundant per-entry permute derivations.
+MODEL_BACKENDS = ("scalar", "stdlib", "procpool")
 
 #: Fixed wire widths, pinned against the implementation by
 #: ``tests/test_costmodel.py``.
@@ -240,12 +239,10 @@ class LblCostModel:
         return 1, hmac_compressions(message_len, ENCODED_KEY_BYTES)
 
     def ops(self, include_server: bool = True) -> dict[str, int]:
-        """Predicted :mod:`repro.obs.ledger` op counts for one cold access.
+        """Predicted :mod:`repro.obs.ledger` op counts for one access.
 
         Identical for GET and PUT by construction — the whole point of the
         protocol — and the obliviousness auditor asserts the ledger agrees.
-        Covers the cold path (no label-cache hit); the cache's savings are
-        metered as ``cache.hits`` rows, not modeled here.
 
         Args:
             include_server: Include the server-side AEAD opens.  Under
@@ -264,8 +261,8 @@ class LblCostModel:
         ek_calls, ek_comp = self._encode_key_cost
 
         # Every backend derives the old epoch once, the new epoch once in
-        # prepare, and the new epoch once more in finalize's decode (cold:
-        # no cache to remember it).
+        # prepare, and the new epoch once more in finalize's decode (the
+        # proxy keeps only counters, not labels).
         calls = lab_old_calls + 2 * lab_new_calls + ek_calls
         comp = lab_old_comp + 2 * lab_new_comp + ek_comp
         if self.point_and_permute:
@@ -302,9 +299,9 @@ DEFAULT_COMPRESSIONS_PER_CORE_PER_SEC = 4_000_000.0
 DEFAULT_TARGET_UTILIZATION = 0.6
 
 #: Fixed proxy-side cost of one prepare *dispatch* (interpreter dispatch,
-#: lane-engine setup, worker IPC where a procpool is attached) — the part
-#: of an access that does not scale with bytes hashed and that cross-request
-#: coalescing amortizes across a window.  Like the rates above this is an
+#: worker IPC where a procpool is attached) — the part of an access that
+#: does not scale with bytes hashed and that cross-request coalescing
+#: amortizes across a window.  Like the rates above this is an
 #: explicit, overridable calibration point echoed into the plan, calibrated
 #: against ``benchmarks/test_coalesce_throughput.py`` on the CI host.
 DEFAULT_FLUSH_OVERHEAD_SECONDS = 250e-6
@@ -521,7 +518,7 @@ def plan_capacity(
 
 def run_model_check(
     value_sizes: "tuple[int, ...]" = (4, 8, 16),
-    backends: "tuple[str, ...]" = ("scalar", "stdlib", "vector"),
+    backends: "tuple[str, ...]" = ("scalar", "stdlib"),
     group_bits: int = 2,
 ) -> dict:
     """Replay GET and PUT in-process and diff the ledger against the model.
@@ -573,9 +570,7 @@ def run_model_check(
                 engine = None
                 server_fused = backend == "server-coalesced"
                 if backend in ("procpool", "coalesced"):
-                    protocol = LblOrtoa(
-                        config, rng=_random.Random(7), crypto_backend="stdlib"
-                    )
+                    protocol = LblOrtoa(config, rng=_random.Random(7))
                     engine = ParallelPrepareEngine(
                         protocol.proxy,
                         workers=0,
@@ -584,16 +579,11 @@ def run_model_check(
                             0.0005 if backend == "coalesced" else 0.0
                         ),
                     )
-                elif server_fused:
-                    protocol = LblOrtoa(
-                        config, rng=_random.Random(7), crypto_backend="stdlib"
-                    )
                 else:
                     protocol = LblOrtoa(
                         config,
                         rng=_random.Random(7),
                         batched=backend != "scalar",
-                        crypto_backend=backend if backend != "scalar" else "auto",
                     )
                 records = {"k": b"\x01" * value_len}
                 if server_fused:

@@ -57,7 +57,7 @@ EXPERIMENTS = {
     "oram": (experiments.oram_comparison, "§8: one-round ORAM vs PathORAM vs linear scan"),
     "sharded": (experiments.sharded_scaling, "§6.2.4 over TCP: shard-count scaling"),
     "pipeline": (experiments.pipeline_depth_sweep, "pipelined vs lockstep transport"),
-    "lbl": (experiments.lbl_kernels, "crypto kernels: scalar vs batched vs cached"),
+    "lbl": (experiments.lbl_kernels, "crypto kernels: scalar vs batched"),
 }
 
 #: CLI flag -> experiment keyword argument, forwarded when the experiment
@@ -66,7 +66,6 @@ _RUN_OVERRIDES = {
     "shards": "shards",
     "pipeline_depth": "pipeline_depth",
     "workers": "workers",
-    "label_cache": "label_cache",
     "crypto_backend": "crypto_backend",
     "transport": "transport",
     "coalesce_window": "coalesce_window",
@@ -179,7 +178,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             backends=(
                 "scalar",
                 "stdlib",
-                "vector",
                 "procpool",
                 "coalesced",
                 "server-coalesced",
@@ -272,15 +270,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.core.lbl import LblOrtoa
     from repro.types import StoreConfig
 
-    label_cache = None if args.no_label_cache else -1
     if args.base:
-        config = StoreConfig(value_len=args.value_len, label_cache_entries=label_cache)
+        config = StoreConfig(value_len=args.value_len)
     else:
         config = StoreConfig(
-            value_len=args.value_len,
-            group_bits=2,
-            point_and_permute=True,
-            label_cache_entries=label_cache,
+            value_len=args.value_len, group_bits=2, point_and_permute=True
         )
 
     if args.shards:
@@ -325,11 +319,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         except OrtoaError as exc:
             print(f"audit failed to run: {exc}", file=sys.stderr)
             return 2
-        cache = deployment.proxy.label_cache
-        if cache is not None:
-            obs.REGISTRY.gauge("lbl.proxy.label_cache.hit_rate").set(
-                round(cache.hit_rate, 3)
-            )
         snapshot = obs.REGISTRY.snapshot()
         print(
             f"protocol: {deployment.name}  (value_len={config.value_len}, "
@@ -365,21 +354,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     except OrtoaError as exc:
         print(f"audit failed to run: {exc}", file=sys.stderr)
         return 2
-    cache = protocol.proxy.label_cache
-    if cache is not None and not args.leaky:
-        # The audit touches each key exactly once (all cache misses by
-        # design); a follow-up read pass exercises the warm path so the
-        # reported hit rate reflects steady-state behaviour.  The leaky
-        # control is skipped: its server deliberately desynchronizes on
-        # reads, so any second access fails by construction.
-        from repro.types import Request
-
-        obs.enable()
-        for i in range(args.keys):
-            protocol.access(Request.read(f"audit-{i}"))
-        obs.REGISTRY.gauge("lbl.proxy.label_cache.hit_rate").set(
-            round(cache.hit_rate, 3)
-        )
     snapshot = obs.REGISTRY.snapshot()
 
     print(f"protocol: {protocol.name}  (value_len={config.value_len}, "
@@ -700,18 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="prepare-pool threads for experiments that take one (e.g. `lbl`)",
     )
     run.add_argument(
-        "--label-cache",
-        type=int,
-        metavar="M",
-        help="label-cache entries for experiments that take one "
-        "(-1 auto-sizes; e.g. `lbl`)",
-    )
-    run.add_argument(
         "--crypto-backend",
-        choices=("scalar", "stdlib", "auto", "vector", "procpool"),
+        choices=("scalar", "stdlib", "procpool"),
         help="proxy crypto backend for experiments that take one "
         "(e.g. `lbl`): scalar reference path, stdlib batched kernels, "
-        "numpy lane engine, or a label-derivation process pool",
+        "or a label-derivation process pool",
     )
     run.add_argument(
         "--transport",
@@ -726,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="prepare-coalescing flush timer for experiments that take one "
-        "(e.g. `lbl`): concurrent prepares fuse into windowed lane "
+        "(e.g. `lbl`): concurrent prepares fuse into windowed "
         "dispatches; 0 disables",
     )
     run.add_argument(
@@ -794,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--backend",
-        choices=("scalar", "stdlib", "vector", "procpool"),
+        choices=("scalar", "stdlib", "procpool"),
         default="stdlib",
         help="proxy crypto backend to model (default: stdlib)",
     )
@@ -874,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="validate the model against the wire ledger for GET and PUT "
-        "across scalar/stdlib/vector/procpool/coalesced/server-coalesced "
+        "across scalar/stdlib/procpool/coalesced/server-coalesced "
         "at 3 value sizes",
     )
     plan.add_argument("--json", metavar="PATH", help="write a JSON report")
@@ -919,11 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="prepare-pool threads for the sharded audit (default: 0, serial)",
-    )
-    obs_cmd.add_argument(
-        "--no-label-cache",
-        action="store_true",
-        help="audit without the proxy label cache (enabled by default)",
     )
     obs_cmd.add_argument(
         "--transport",
@@ -990,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live terminal view of one or more --metrics-port endpoints "
-        "(ops/s, latency percentiles, cache hit rate, queue depth)",
+        "(ops/s, latency percentiles, queue depth)",
     )
     top.add_argument(
         "targets",

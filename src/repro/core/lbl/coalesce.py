@@ -2,16 +2,16 @@
 
 The proxy's ``prepare`` is the protocol's throughput ceiling: every access
 derives two epochs of labels and encrypts ``2^y`` candidates per group, and
-each concurrent client today pays that cost alone — one lane-engine dispatch
-per request, mostly 1-wide.  :class:`PrepareCoalescer` is the amortize-
-per-batch stage that fixes this (ROADMAP item 2): concurrent ``prepare``
-calls enqueue into a bounded **window** (flushed on size or a few-hundred-µs
-timer) and the window is prepared as one fused unit —
+each concurrent client pays that cost alone — one kernel dispatch per
+request.  :class:`PrepareCoalescer` is the amortize-per-batch stage that
+fixes this (ROADMAP item 2): concurrent ``prepare`` calls enqueue into a
+bounded **window** (flushed on size or a few-hundred-µs timer) and the
+window is prepared as one fused unit —
 
-* label derivation for every cold access fuses into a single
+* label derivation for every access fuses into a single
   :meth:`~repro.crypto.labels.LabelCodec.labels_for_epochs` dispatch (or one
   :meth:`~repro.core.lbl.procpool.ProcessCryptoPool.derive_batch` worker
-  round trip), so 8 clients' PRF tails fill the 8-wide SHA-256 lanes;
+  round trip);
 * table encryption for the whole window runs as one
   :meth:`~repro.core.lbl.proxy.LblProxy.prepare_window` ``encrypt_many``
   call.
@@ -23,7 +23,7 @@ thread.  Every later caller is a *follower*: it appends its entry and blocks
 on the entry's done-event.  The leader publishes each entry's result (or the
 flush's exception — a failed flush never strands a follower) before
 returning its own.  Flushes serialize on one lock, which is also what makes
-the shared proxy state (counters, cache, base-protocol shuffle RNG) safe
+the shared proxy state (counters, base-protocol shuffle RNG) safe
 without per-key stripes.
 
 **Equivalence.**  A flushed window produces, per request, exactly what a
@@ -31,7 +31,7 @@ sequential ``prepare`` loop over the same requests in the same order would:
 same label bytes (fusion is the empty-prefix PRF-context identity — the
 hashed messages are equal), same table placement, same op counts, same
 counter chains (same-key accesses after the first in a window prepare
-sequentially, consuming the cache entry the previous access installed).
+sequentially, after the previous access advanced the epoch).
 GET and PUT contribute identical shapes to a fused batch — derivation
 pairs, payload lengths, and ciphertext counts per entry are op-independent
 — so coalescing leaks nothing about the mix (audited in
@@ -59,11 +59,10 @@ from repro.types import Request
 
 #: Default flush window in seconds (~200µs): long enough for a burst of
 #: concurrent clients to land in one window, short enough to be invisible
-#: next to a cold prepare (which runs for milliseconds at paper parameters).
+#: next to a prepare (which runs for milliseconds at paper parameters).
 DEFAULT_WINDOW_SECONDS = 0.0002
 
-#: Default size flush threshold — matches the SHA-256 lane width, so a full
-#: window fills every lane even when each access contributes one tail chunk.
+#: Default size flush threshold.
 DEFAULT_MAX_BATCH = 8
 
 #: Real-time cap on each follower-wait inside the leader's timer loop.  The
@@ -87,7 +86,7 @@ class _Entry:
 
 
 class PrepareCoalescer:
-    """Fuse concurrent ``prepare`` calls into windowed lane dispatches.
+    """Fuse concurrent ``prepare`` calls into windowed dispatches.
 
     Args:
         proxy: The trusted proxy whose prepares are coalesced.  Must run the
@@ -98,8 +97,8 @@ class PrepareCoalescer:
         max_batch: Size flush threshold; a window with this many entries
             flushes without waiting for the timer.
         procpool: Optional :class:`~repro.core.lbl.procpool.ProcessCryptoPool`
-            — cold derivations then fuse into worker batch round trips
-            instead of in-process lane dispatches.
+            — derivations then fuse into worker batch round trips
+            instead of in-process derivations.
         clock: Time source for the flush timer (default
             :class:`~repro.obs.clock.WallClock`); tests inject a
             :class:`~repro.obs.clock.FakeClock`.
@@ -224,12 +223,11 @@ class PrepareCoalescer:
     def flush(self, batch: "list[_Entry]", reason: str = "explicit") -> None:
         """Prepare every entry of one window, fused, and publish results.
 
-        Routing is payload-independent (it depends only on keys and cache
-        state, never on the op): the **first** access of each key is fused —
-        derivation batched across the window, tables encrypted in one
-        dispatch — while warm entries keep the per-request fast path (a
-        cached epoch always wins) and same-key followers prepare
-        sequentially after their predecessor so epochs chain.
+        Routing is payload-independent (it depends only on keys, never on
+        the op): the **first** access of each key is fused — derivation
+        batched across the window, tables encrypted in one dispatch — and
+        same-key followers prepare sequentially after their predecessor so
+        epochs chain.
 
         Args:
             batch: The window's entries.
@@ -263,47 +261,29 @@ class PrepareCoalescer:
                 seen_keys.add(entry.request.key)
                 front.append(entry)
 
-        cold: "list[_Entry]" = []
-        if proxy.label_cache is not None:
-            # One lock hold probes the whole window's cache slots.
-            slots = [
-                (entry.request.key, proxy.counter(entry.request.key))
-                for entry in front
-            ]
-            cached_entries = proxy.label_cache.peek_many(slots)
-        else:
-            cached_entries = [None] * len(front)
-        for entry, cached in zip(front, cached_entries):
-            if cached is None:
-                cold.append(entry)
-            else:
-                self._publish_one(entry)
+        pairs = [
+            (entry.request.key, proxy.counter(entry.request.key)) for entry in front
+        ]
+        rows = [entry.row for entry in front]
+        label_sets = self._derive_fused(pairs, rows)
+        window_entries = [
+            (entry.request, sets) for entry, sets in zip(front, label_sets)
+        ]
+        for entry, result in zip(
+            front, proxy.prepare_window(window_entries, rows=rows)
+        ):
+            entry.result = result
+            entry.done.set()
 
-        if cold:
-            pairs = [
-                (entry.request.key, proxy.counter(entry.request.key))
-                for entry in cold
-            ]
-            rows = [entry.row for entry in cold]
-            label_sets = self._derive_fused(pairs, rows)
-            window_entries = [
-                (entry.request, sets) for entry, sets in zip(cold, label_sets)
-            ]
-            for entry, result in zip(
-                cold, proxy.prepare_window(window_entries, rows=rows)
-            ):
-                entry.result = result
-                entry.done.set()
-
-        # Same-key followers: their predecessor installed epoch ct+1 in the
-        # cache, so these run as warm per-request prepares, in order.
+        # Same-key followers: their predecessor advanced the key to epoch
+        # ct+1, so these run as per-request prepares, in order.
         for entry in tail:
             self._publish_one(entry)
 
         if _obs.enabled:
             REGISTRY.counter("lbl.coalesce.windows").inc()
             REGISTRY.counter("lbl.coalesce.prepared").inc(len(batch))
-            REGISTRY.counter("lbl.coalesce.fused").inc(len(cold))
+            REGISTRY.counter("lbl.coalesce.fused").inc(len(front))
             REGISTRY.gauge("lbl.coalesce.last_window").set(len(batch))
             # Flush-reason split + window fill: a saturated deployment
             # flushes on size with full windows; an idle one flushes on
@@ -316,12 +296,12 @@ class PrepareCoalescer:
                 "coalesce.flush",
                 reason=reason,
                 window=len(batch),
-                fused=len(cold),
+                fused=len(front),
                 max_batch=self.max_batch,
             )
 
     def _publish_one(self, entry: _Entry) -> None:
-        """Per-request prepare (warm or same-key follower) under its row."""
+        """Per-request prepare of a same-key follower under its row."""
         token = _ledger.activate(entry.row) if entry.row is not None else None
         try:
             ct = self.proxy.counter(entry.request.key)
@@ -337,7 +317,7 @@ class PrepareCoalescer:
         pairs: "list[tuple[str, int]]",
         rows: "list[_ledger.LedgerRow | None]",
     ) -> "list[tuple[list[list[bytes]], list[int] | None, list[list[bytes]], list[int] | None]]":
-        """Label sets for the window's cold accesses, one fused dispatch.
+        """Label sets for the window's first accesses per key, one fused dispatch.
 
         Through the :class:`ProcessCryptoPool` when one is attached (chunked
         at its batch capacity), else in-process through the fused codec

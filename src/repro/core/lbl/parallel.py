@@ -24,12 +24,11 @@ outputs match a sequential ``prepare`` loop exactly (modulo shuffle order
 consumed from the shared RNG).
 
 ``backend="procpool"`` sidesteps the GIL entirely: label derivation — the
-dominant cold-prepare cost — runs in a shared
+dominant prepare cost — runs in a shared
 :class:`~repro.core.lbl.procpool.ProcessCryptoPool` of worker *processes*,
-and the engine's threads only wait on results and run the (cheap, cached,
-or AEAD-bound) remainder of ``prepare``.  Outputs are byte-identical to the
-thread backend: workers rebuild the same PRFs from the same keys, and a
-proxy label-cache hit still wins over a shipped-in derivation.
+and the engine's threads only wait on results and run the AEAD-bound
+remainder of ``prepare``.  Outputs are byte-identical to the
+thread backend: workers rebuild the same PRFs from the same keys.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class ParallelPrepareEngine:
         coalesce_window: When ``> 0``, route every prepare through a
             :class:`~repro.core.lbl.coalesce.PrepareCoalescer` with this
             flush timer (seconds): concurrent prepares fuse into windowed
-            lane dispatches, and serial ``prepare_batch`` calls fuse the
+            dispatches, and serial ``prepare_batch`` calls fuse the
             whole batch.  ``0`` (default) keeps the per-request paths.
         coalesce_batch: Size flush threshold for the coalescing window.
         coalesce_clock: Injectable time source for the flush timer
@@ -150,7 +149,7 @@ class ParallelPrepareEngine:
 
         With coalescing enabled this joins the current window — concurrent
         callers (pipelined transports, multi-client deployments) fuse into
-        one lane dispatch; otherwise it is a plain per-request prepare.
+        one dispatch; otherwise it is a plain per-request prepare.
         Returns the same ``(wire_request, prepare_ops, epoch)`` triple as a
         :meth:`prepare_batch` entry.
         """
@@ -178,16 +177,7 @@ class ParallelPrepareEngine:
         ct = proxy.counter(request.key)
         label_sets = None
         if self._procpool is not None:
-            # Skip the round trip to the worker when the proxy label cache
-            # already holds this epoch — prepare would discard the shipped
-            # derivation anyway (a cached epoch always wins).
-            cached = (
-                proxy.label_cache.peek(request.key, ct)
-                if proxy.label_cache is not None
-                else None
-            )
-            if cached is None:
-                label_sets = self._procpool.derive(request.key, ct)
+            label_sets = self._procpool.derive(request.key, ct)
         if self._needs_shuffle_lock:
             with self._shuffle_lock:
                 lbl_request, ops = proxy.prepare(request, label_sets)

@@ -21,31 +21,11 @@ Two implementations of step 1–4 coexist:
 
 * the **batched kernel path** (default) derives all labels through
   :meth:`~repro.crypto.labels.LabelCodec.labels_for_groups` and encrypts the
-  whole table through :func:`~repro.crypto.aead.encrypt_many`, optionally
-  reusing a previous access's labels from the
-  :class:`~repro.core.lbl.cache.LabelCache`;
+  whole table through :func:`~repro.crypto.aead.encrypt_many`;
 * the **scalar path** (``batched=False``) issues one PRF/AEAD call per label
   exactly as the seed implementation did.  It is kept as the benchmark
   baseline and as an equivalence oracle — both paths produce tables that
   open to byte-identical labels.
-
-On top of the batched path, ``crypto_backend`` selects how the batch crypto
-itself runs:
-
-* ``"stdlib"`` — the batched kernels exactly as above (pad-block schedules,
-  per-entry ``hashlib`` one-shots);
-* ``"vector"`` — the vector pipeline: ``finalize`` attaches keyed-state
-  schedules *and* prefetched nonce/keystream blocks to the cache (both
-  payload-independent, hence operation-type-oblivious), so a warm
-  ``prepare`` pays only the tag MAC per table entry, with XOR and
-  ciphertext assembly running as whole-batch numpy array ops and the
-  sha256 lane engine engaging past its calibrated threshold;
-* ``"auto"`` (default) — ``"vector"`` when the lane-engine module is
-  enabled (numpy importable and ``REPRO_NO_VECTOR`` unset), else
-  ``"stdlib"``.
-
-All backends produce tables that open to byte-identical labels; the choice
-only moves where the HMAC work happens.
 """
 
 from __future__ import annotations
@@ -53,10 +33,8 @@ from __future__ import annotations
 import random
 
 from repro.core.base import OpCounts
-from repro.core.lbl.cache import DEFAULT_LABEL_CACHE_BYTES, LabelCache, LabelCacheEntry
 from repro.core.messages import LblAccessRequest, LblAccessResponse
 from repro.crypto import aead
-from repro.crypto import sha256_lanes as _lanes
 from repro.crypto.keys import KeyChain
 from repro.crypto.labels import LabelCodec, StoredLabel, value_to_groups
 from repro.errors import ConfigurationError, KeyNotFoundError, ProtocolError
@@ -66,11 +44,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.obs.trace import TRACER
 from repro.types import Request, StoreConfig
-
-try:  # numpy backs the vector pipeline's table assembly; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None  # type: ignore[assignment]
 
 #: Width of the serialized point-and-permute slot index appended to each
 #: encrypted payload.  The paper uses 2 bits; a whole byte keeps framing
@@ -86,15 +59,11 @@ class LblProxy:
     """Trusted, stateful proxy: key material + per-object access counters.
 
     Args:
-        config: Deployment parameters; ``config.label_cache_entries``
-            enables the proxy label cache.
+        config: Deployment parameters.
         keychain: Key material.
         rng: Table-shuffle randomness (base protocol only).
         batched: Use the batched crypto kernels (default).  ``False``
             selects the scalar per-label reference path.
-        crypto_backend: ``"auto"`` (default), ``"stdlib"``, or ``"vector"``
-            — see the module docstring.  Only meaningful with
-            ``batched=True``.
     """
 
     def __init__(
@@ -104,14 +73,7 @@ class LblProxy:
         rng: random.Random | None = None,
         *,
         batched: bool = True,
-        crypto_backend: str = "auto",
     ) -> None:
-        if crypto_backend not in ("auto", "stdlib", "vector"):
-            raise ConfigurationError(
-                f"unknown crypto backend {crypto_backend!r}; "
-                "expected 'auto', 'stdlib', or 'vector'"
-            )
-        self.crypto_backend = crypto_backend
         self.config = config
         self.keychain = keychain
         self.codec = LabelCodec(
@@ -123,18 +85,6 @@ class LblProxy:
         self._rng = rng or random.Random()
         self._counters: dict[str, int] = {}
         self.batched = batched
-        self.label_cache: LabelCache | None = None
-        entries = config.label_cache_entries
-        if entries is not None:
-            if entries == -1:
-                self.label_cache = LabelCache.from_bytes(
-                    self.codec.num_groups,
-                    self.codec.table_size,
-                    self.codec.label_len,
-                    DEFAULT_LABEL_CACHE_BYTES,
-                )
-            else:
-                self.label_cache = LabelCache(entries)
 
     # ------------------------------------------------------------------ #
     # State
@@ -157,19 +107,12 @@ class LblProxy:
         return dict(self._counters)
 
     def force_counter(self, key: str, value: int) -> None:
-        """Overwrite one key's counter — recovery resynchronization only.
-
-        Any cached label epochs for ``key`` are invalidated: after a forced
-        counter move the cache can no longer prove its entries correspond to
-        what the server currently stores.
-        """
+        """Overwrite one key's counter — recovery resynchronization only."""
         if value < 0:
             raise ProtocolError("counters cannot be negative")
         if key not in self._counters:
             raise KeyNotFoundError(f"key {key!r} was never initialized")
         self._counters[key] = value
-        if self.label_cache is not None:
-            self.label_cache.invalidate_key(key)
         if _obs.enabled:
             # Forced counter moves are recovery events — rare, and exactly
             # what a post-mortem wants on its timeline next to the faults
@@ -177,17 +120,11 @@ class LblProxy:
             RECORDER.record("proxy.counter_forced", value=value)
 
     def restore_counters(self, counters: dict[str, int]) -> None:
-        """Install a recovered counter table (crash recovery).
-
-        The label cache is cleared wholesale: recovery means the in-memory
-        epoch history is no longer trustworthy.
-        """
+        """Install a recovered counter table (crash recovery)."""
         for key, value in counters.items():
             if value < 0:
                 raise ProtocolError(f"negative counter for key {key!r}")
         self._counters = dict(counters)
-        if self.label_cache is not None:
-            self.label_cache.clear()
         if _obs.enabled:
             RECORDER.record("proxy.counters_restored", keys=len(counters))
 
@@ -227,18 +164,6 @@ class LblProxy:
     # Request preparation (Pcr, Figure 1 / §5.2 step 1)
     # ------------------------------------------------------------------ #
 
-    def vector_active(self) -> bool:
-        """Whether this prepare/finalize cycle runs the vector pipeline.
-
-        Evaluated per call so ``REPRO_NO_VECTOR`` /
-        :func:`repro.crypto.sha256_lanes.lanes_disabled` take effect
-        dynamically under the ``"auto"`` backend.
-        """
-        backend = self.crypto_backend
-        if backend == "vector":
-            return True
-        return backend == "auto" and _lanes.enabled()
-
     def prepare(
         self,
         request: Request,
@@ -252,16 +177,15 @@ class LblProxy:
                 ``(old_labels, old_offsets, new_labels, new_offsets)`` for
                 this key's current epoch pair — the
                 :class:`~repro.core.lbl.procpool.ProcessCryptoPool` hands
-                these in after deriving them in a worker process.  A cached
-                epoch still wins (the bytes are identical either way);
-                ignored by the scalar path.
+                these in after deriving them in a worker process (the bytes
+                are identical either way); ignored by the scalar path.
         """
         if self.batched:
             return self._prepare_batched(request, label_sets)
         return self._prepare_scalar(request)
 
     def _emit_prepare_span(
-        self, span, request: Request, prf_count: int, enc_count: int, cache_hit: bool
+        self, span, request: Request, prf_count: int, enc_count: int
     ) -> None:
         if span is None:
             return
@@ -273,7 +197,6 @@ class LblProxy:
             labels_generated=labels_generated,
             ciphertexts_built=enc_count,
             prf_calls=prf_count,
-            label_cache_hit=cache_hit,
         )
         TRACER.end(span)
         REGISTRY.counter("lbl.proxy.prepares").inc()
@@ -300,121 +223,35 @@ class LblProxy:
             padded = self.config.pad(request.value)  # type: ignore[arg-type]
             new_value = value_to_groups(padded, self.config.group_bits)
 
-        cached = (
-            self.label_cache.take(key, ct) if self.label_cache is not None else None
-        )
-        cache_hit = cached is not None
-        prf_count = 0
-        new_labels = None
-        new_offsets = None
-        old_keyed = None
-        old_nonces = None
-        old_keystreams = None
-        if cache_hit:
-            old_labels = cached.labels
-            old_offsets = cached.offsets
-            old_schedules = cached.schedules
-            old_keyed = cached.keyed
-            old_nonces = cached.nonces
-            old_keystreams = cached.keystreams
-            # ``finalize`` may have prefetched the new epoch too, in which
-            # case prepare performs no label derivation at all.
-            if cached.next_labels is not None:
-                new_labels = cached.next_labels
-                new_offsets = cached.next_offsets
-        elif label_sets is not None:
+        if label_sets is not None:
             # Derived off-proxy by a ProcessCryptoPool worker; the bytes are
             # identical to deriving here, so the PRF accounting is too.
             old_labels, old_offsets, new_labels, new_offsets = label_sets
-            old_schedules = None
-            prf_count += 2 * num_groups * table_size + (
-                2 * num_groups if point_and_permute else 0
-            )
         else:
             old_labels = codec.labels_for_groups(key, ct)
             old_offsets = (
                 codec.permute_offsets(key, ct) if point_and_permute else None
             )
-            old_schedules = None
-            prf_count += num_groups * table_size + (
-                num_groups if point_and_permute else 0
-            )
-
-        if new_labels is None:
             new_labels = codec.labels_for_groups(key, new_ct)
-            prf_count += num_groups * table_size
-            if point_and_permute:
-                new_offsets = codec.permute_offsets(key, new_ct)
-                prf_count += num_groups
-
-        is_read = request.op.is_read
-        vector = old_keyed is not None and self.vector_active()
-        if (
-            vector
-            and _np is not None
-            and point_and_permute
-            and old_keystreams is not None
-            and cached is not None
-            and cached.next_labels_blob is not None
-            and new_labels is cached.next_labels
-        ):
-            # Fully warm vector prepare: payloads assemble as one numpy
-            # matrix viewed over the prefetched label blob (no per-entry
-            # bytes objects), encryption returns the ciphertext matrix, and
-            # the point-and-permute placement is a single gather.  Only the
-            # per-entry tag MAC inside encrypt_many remains serial.
-            tables, enc_count = self._build_tables_matrix(
-                new_labels_blob=cached.next_labels_blob,
-                new_offsets=new_offsets,  # type: ignore[arg-type]
-                old_offsets=old_offsets,  # type: ignore[arg-type]
-                old_keyed=old_keyed,
-                old_nonces=old_nonces,  # type: ignore[arg-type]
-                old_keystreams=old_keystreams,
-                is_read=is_read,
-                new_value=new_value,
+            new_offsets = (
+                codec.permute_offsets(key, new_ct) if point_and_permute else None
             )
-        else:
-            # Flatten the whole table build into one encrypt_many call: entry
-            # (index, value) encrypts payload(value) under
-            # old_labels[index][value].
-            flat_keys, flat_payloads = self._flat_table_inputs(
-                old_labels, new_labels, new_offsets, new_value, is_read
-            )
+        prf_count = 2 * num_groups * table_size + (
+            2 * num_groups if point_and_permute else 0
+        )
 
-            if vector:
-                # Vector pipeline: keyed states (and, when finalize ran in
-                # time, prefetched keystreams) leave only the tag MAC per
-                # entry here.  The cache stores keyed states flat already.
-                ciphertexts = aead.encrypt_many(
-                    flat_keys,
-                    flat_payloads,
-                    nonces=old_nonces if old_keystreams is not None else None,
-                    keyed=old_keyed,
-                    keystreams=old_keystreams,
-                )
-            else:
-                flat_schedules = None
-                if old_schedules is not None:
-                    flat_schedules = [pair for row in old_schedules for pair in row]
-                ciphertexts = aead.encrypt_many(
-                    flat_keys, flat_payloads, schedules=flat_schedules
-                )
-            enc_count = len(ciphertexts)
-            tables = self._assemble_tables(ciphertexts, old_offsets)
+        # Flatten the whole table build into one encrypt_many call: entry
+        # (index, value) encrypts payload(value) under old_labels[index][value].
+        flat_keys, flat_payloads = self._flat_table_inputs(
+            old_labels, new_labels, new_offsets, new_value, request.op.is_read
+        )
+        ciphertexts = aead.encrypt_many(flat_keys, flat_payloads)
+        enc_count = len(ciphertexts)
+        tables = self._assemble_tables(ciphertexts, old_offsets)
 
-        if self.label_cache is not None:
-            self.label_cache.put(
-                key,
-                new_ct,
-                LabelCacheEntry(
-                    labels=new_labels,
-                    offsets=new_offsets,
-                    labels_blob=cached.next_labels_blob if cache_hit else None,
-                ),
-            )
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
-        self._emit_prepare_span(span, request, prf_count + 1, enc_count, cache_hit)
+        self._emit_prepare_span(span, request, prf_count + 1, enc_count)
         return (
             LblAccessRequest(self.keychain.encode_key(key), tuple(tables)),
             ops,
@@ -495,8 +332,7 @@ class LblProxy:
         label sets pre-derived (fused across the window by the caller), so
         the per-access work here is payload assembly — and the AEAD table
         encryption of the whole window runs as a single
-        :func:`~repro.crypto.aead.encrypt_many` call, filling the lane
-        engine the way one access alone cannot.  Requires the batched path
+        :func:`~repro.crypto.aead.encrypt_many` call.  Requires the batched path
         and distinct keys per entry (same-key accesses chain epochs and
         must prepare sequentially).
 
@@ -554,35 +390,13 @@ class LblProxy:
                 if request.op.is_write:
                     padded = self.config.pad(request.value)  # type: ignore[arg-type]
                     new_value = value_to_groups(padded, self.config.group_bits)
-                # Consume (and meter) any stale cache entry; window entries
-                # are routed here only on a cache miss, but a hit is still
-                # byte-identical — the cache stores the same labels.
-                cached = (
-                    self.label_cache.take(key, ct)
-                    if self.label_cache is not None
-                    else None
-                )
-                if cached is not None:
-                    old_labels, old_offsets = cached.labels, cached.offsets
-                    if cached.next_labels is not None:
-                        new_labels = cached.next_labels
-                        new_offsets = cached.next_offsets
-                    else:
-                        _old, _old_off, new_labels, new_offsets = label_sets
-                else:
-                    old_labels, old_offsets, new_labels, new_offsets = label_sets
+                old_labels, old_offsets, new_labels, new_offsets = label_sets
                 flat_keys, flat_payloads = self._flat_table_inputs(
                     old_labels, new_labels, new_offsets, new_value, request.op.is_read
                 )
                 all_keys += flat_keys
                 all_payloads += flat_payloads
                 encoded_key = self.keychain.encode_key(key)
-                if self.label_cache is not None:
-                    self.label_cache.put(
-                        key,
-                        ct + 1,
-                        LabelCacheEntry(labels=new_labels, offsets=new_offsets),
-                    )
                 self._counters[key] = ct + 1
                 staged.append((request, encoded_key, old_offsets, ct + 1, row))
             finally:
@@ -610,88 +424,12 @@ class LblProxy:
             tables = self._assemble_tables(chunk, old_offsets)
             ops = OpCounts(prf=per_entry_prf + 1, aead_enc=per_entry_enc)
             self._emit_prepare_span(
-                spans[position], request, per_entry_prf + 1, per_entry_enc, False
+                spans[position], request, per_entry_prf + 1, per_entry_enc
             )
             results.append(
                 (LblAccessRequest(encoded_key, tuple(tables)), ops, new_ct)
             )
         return results
-
-    def _build_tables_matrix(
-        self,
-        *,
-        new_labels_blob: bytes,
-        new_offsets: list[int],
-        old_offsets: list[int],
-        old_keyed: list,
-        old_nonces: list[bytes],
-        old_keystreams: list[bytes],
-        is_read: bool,
-        new_value: "tuple[int, ...] | None",
-    ) -> tuple[list[tuple[bytes, ...]], int]:
-        """Whole-table build as numpy array ops (warm vector prepare).
-
-        Byte-identical to the list path: the payload of entry ``(g, v)`` is
-        ``new_label[g][v or target] || (v_or_target ^ new_offset[g])``, the
-        ciphertext lands at slot ``v ^ old_offset[g]``.  The payload matrix
-        is viewed straight over the prefetched label blob, and the
-        point-and-permute placement is one gather over the ciphertext
-        matrix instead of a per-entry slot loop.
-        """
-        codec = self.codec
-        num_groups = codec.num_groups
-        table_size = codec.table_size
-        label_len = codec.label_len
-        n = num_groups * table_size
-        labels_mat = _np.frombuffer(new_labels_blob, dtype=_np.uint8).reshape(
-            n, label_len
-        )
-        offs = _np.asarray(new_offsets, dtype=_np.uint8)
-        payloads = _np.empty((n, label_len + DECRYPT_INDEX_BYTES), dtype=_np.uint8)
-        if is_read:
-            payloads[:, :label_len] = labels_mat
-            payloads[:, label_len] = _np.tile(
-                _np.arange(table_size, dtype=_np.uint8), num_groups
-            ) ^ _np.repeat(offs, table_size)
-        else:
-            targets = _np.asarray(new_value, dtype=_np.int64)
-            rows = labels_mat.reshape(num_groups, table_size, label_len)[
-                _np.arange(num_groups), targets
-            ]
-            payloads[:, :label_len] = _np.repeat(rows, table_size, axis=0)
-            payloads[:, label_len] = _np.repeat(
-                targets.astype(_np.uint8) ^ offs, table_size
-            )
-        cipher = aead.encrypt_many(
-            None,
-            payloads,
-            nonces=old_nonces,
-            keyed=old_keyed,
-            keystreams=old_keystreams,
-            as_matrix=True,
-        )
-        # Output slot s of group g holds the entry built for value s ^ off_g
-        # (== the entry at flat index g*T + (s ^ off_g)); one fancy-index
-        # gather applies every group's permutation at once.
-        slot_values = _np.tile(_np.arange(table_size, dtype=_np.int64), num_groups)
-        sources = (
-            _np.repeat(
-                _np.arange(num_groups, dtype=_np.int64) * table_size, table_size
-            )
-            + (slot_values ^ _np.repeat(_np.asarray(old_offsets), table_size))
-        )
-        flat = cipher[sources].tobytes()
-        entry_len = cipher.shape[1]
-        entries = [
-            flat[start : start + entry_len]
-            for start in range(0, n * entry_len, entry_len)
-        ]
-        # Group the flat entry list into per-group tuples at C speed: zip
-        # over table_size references to one iterator yields consecutive
-        # table_size-tuples.
-        it = iter(entries)
-        tables = list(zip(*([it] * table_size)))
-        return tables, n
 
     def _prepare_scalar(self, request: Request) -> tuple[LblAccessRequest, OpCounts]:
         """Seed reference path: one PRF/AEAD call per label and table entry.
@@ -744,7 +482,7 @@ class LblProxy:
 
         self._counters[key] = new_ct
         ops = OpCounts(prf=prf_count + 1, aead_enc=enc_count)  # +1: key encoding
-        self._emit_prepare_span(span, request, prf_count + 1, enc_count, False)
+        self._emit_prepare_span(span, request, prf_count + 1, enc_count)
         return (
             LblAccessRequest(self.keychain.encode_key(key), tuple(tables)),
             ops,
@@ -766,16 +504,6 @@ class LblProxy:
         value just written (the labels now encode it).  Either way the
         label-to-candidate match is the §5.4 integrity check.
 
-        When the label cache is enabled, the candidate set comes from the
-        epoch cached by :meth:`prepare` (no re-derivation), and the cached
-        entry is enriched with (a) precomputed AEAD key schedules so the
-        *next* access's table encryption skips its per-entry key derivation
-        and (b) the prefetched next-epoch labels/offsets so the next access
-        skips label derivation entirely.  All of it happens after the request
-        already left the proxy, i.e. off the one-round-trip critical path
-        (the work shift is visible in the finalize row of
-        ``BENCH_kernels.json``).
-
         Args:
             key: The accessed key.
             response: The server's opened labels.
@@ -789,60 +517,8 @@ class LblProxy:
         """
         new_ct = self.counter(key) if counter is None else counter
         labels = list(response.opened_labels)
-        cached = (
-            self.label_cache.peek(key, new_ct)
-            if self.label_cache is not None
-            else None
-        )
-        if cached is not None:
-            codec = self.codec
-            vector = self.vector_active()
-            value = codec.decode_from_candidates(
-                cached.labels, labels, blob=cached.labels_blob
-            )
-            if vector:
-                # Keyed states + payload-independent keystream blocks: both
-                # are functions of (label, nonce) only, so deriving them now
-                # reveals nothing about the next operation's type.
-                self.label_cache.attach_keystreams(key, new_ct)
-            else:
-                self.label_cache.attach_schedules(key, new_ct)
-            prefetch_prf = 0
-            if cached.next_labels is None:
-                # Label prefetch: epoch ``new_ct + 1`` is a deterministic
-                # function of the key, so derive it now — during the idle
-                # window after the response, not on the next access's
-                # request-build critical path.
-                point_and_permute = self.config.point_and_permute
-                next_labels = codec.labels_for_groups(key, new_ct + 1)
-                next_offsets = (
-                    codec.permute_offsets(key, new_ct + 1)
-                    if point_and_permute
-                    else None
-                )
-                prefetch_prf = codec.num_groups * codec.table_size + (
-                    codec.num_groups if point_and_permute else 0
-                )
-                self.label_cache.attach_prefetch(
-                    key,
-                    new_ct,
-                    next_labels,
-                    next_offsets,
-                    # Joined once here so the next warm prepare (and the
-                    # next finalize's decode) can view the labels as one
-                    # numpy matrix instead of 2^y * num_groups objects.
-                    next_labels_blob=(
-                        b"".join(
-                            [label for row in next_labels for label in row]
-                        )
-                        if vector
-                        else None
-                    ),
-                )
-            ops = OpCounts(prf=prefetch_prf)
-        else:
-            value = self.codec.decode_labels(key, labels, new_ct)
-            ops = OpCounts(prf=self.codec.table_size * self.codec.num_groups)
+        value = self.codec.decode_labels(key, labels, new_ct)
+        ops = OpCounts(prf=self.codec.table_size * self.codec.num_groups)
         if _obs.enabled:
             REGISTRY.counter("lbl.proxy.finalizes").inc()
         return value, ops

@@ -19,8 +19,7 @@ a write by watching its own state.
 :meth:`LblServer.process_many` is the fused window path behind the
 server-side access coalescer (:mod:`repro.core.lbl.server_coalesce`): a
 window of concurrent requests becomes exactly one storage multi-get, one
-window-wide :func:`repro.crypto.aead.open_many` (lane-engine eligible once
-the window reaches the calibrated threshold), and one multi-put of the
+window-wide :func:`repro.crypto.aead.open_many`, and one multi-put of the
 rotated labels — with per-request error isolation and byte-exact ledger
 attribution, so the fused path is observationally identical to a
 sequential ``process`` loop.
@@ -171,7 +170,7 @@ class LblServer:
             if self.point_and_permute:
                 # Every group opens exactly its designated slot, so the whole
                 # request collapses to one (label, ciphertext) pair per group —
-                # batched through open_many (lane-engine eligible), with verdicts
+                # batched through open_many, with verdicts
                 # and attempt counts identical to a per-group try_decrypt loop.
                 pairs_keys, pairs_cts = self._designated_pairs(request, stored)
                 payloads = aead.open_many(pairs_keys, pairs_cts)
@@ -340,8 +339,7 @@ class LblServer:
 
         Under point-and-permute the window collapses to exactly one storage
         multi-get, one window-wide :func:`repro.crypto.aead.open_many` over
-        every request's designated pairs (lane-engine eligible once the
-        window reaches the calibrated threshold), and one multi-put of the
+        every request's designated pairs, and one multi-put of the
         rotated labels.  Two documented exceptions keep correctness exact:
 
         * **same-key followers** — the second and later requests for one
@@ -373,7 +371,7 @@ class LblServer:
             raise ConfigurationError("rows must parallel requests")
         if requests and self.point_and_permute and not _obs.enabled:
             # With capture off there are no spans, counters, or ledger rows
-            # to attribute, so the window can take the streamlined lane
+            # to attribute, so the window can take the streamlined path
             # (rows are ignored exactly as the general path would ignore
             # them: crediting is gated on capture being enabled).
             fast = self._process_many_fast(requests)

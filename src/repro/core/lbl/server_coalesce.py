@@ -1,9 +1,8 @@
 """Server-side access window fusion for LBL-ORTOA.
 
 The point-and-permute server (§10.2) opens exactly one designated AEAD
-entry per group — but a y=1 request carries only one or two pairs, far
-below the lane engine's calibrated vectorization threshold, and every
-request pays its own storage get/put and bookkeeping.
+entry per group, and every request pays its own storage get/put and
+bookkeeping.
 :class:`ServerAccessCoalescer` is the server-side twin of the client's
 :class:`~repro.core.lbl.coalesce.PrepareCoalescer`: concurrent in-flight
 access requests arriving at the frame dispatcher enqueue into a bounded
@@ -11,8 +10,7 @@ access requests arriving at the frame dispatcher enqueue into a bounded
 injectable :class:`~repro.obs.clock.Clock`), and the flush executes one
 fused :meth:`~repro.core.lbl.server.LblServer.process_many` — a single
 storage multi-get, one window-wide ``aead.open_many`` over every request's
-designated pairs (8 one-pair requests fill the 8-wide SHA-256 lanes), one
-multi-put of rotated labels — then fans each response back to its caller.
+designated pairs, one multi-put of rotated labels — then fans each response back to its caller.
 
 **Leader/follower protocol** (threaded transport).  The first caller to
 find no window open becomes the *leader*: it opens the window, waits for
@@ -58,8 +56,7 @@ from repro.obs.recorder import RECORDER
 #: next to the WAN round trip the protocol already pays.
 DEFAULT_WINDOW_SECONDS = 0.0002
 
-#: Default size flush threshold — matches the SHA-256 lane width, so a full
-#: window of y=1 requests fills every lane with one designated pair each.
+#: Default size flush threshold.
 DEFAULT_MAX_BATCH = 8
 
 #: Real-time cap on each follower-wait inside the leader's timer loop.  The

@@ -417,36 +417,30 @@ def pipeline_depth_sweep(
 
 def lbl_kernels(
     workers: int = 0,
-    label_cache: int | None = -1,
     num_keys: int = 8,
     num_requests: int = 48,
     value_len: int = 160,
-    crypto_backend: str = "auto",
+    crypto_backend: str = "stdlib",
     coalesce_window: float = 0.0,
 ) -> list[Row]:
-    """Batched-kernel throughput: scalar vs batched vs batched+cache.
+    """Batched-kernel throughput: scalar vs batched.
 
-    Measures in-process LBL accesses per second under the three proxy
-    kernel configurations (scalar reference path, batched PRF/AEAD
-    kernels, batched kernels with a warm label cache), then drives one
-    batch through the sharded deployment's
+    Measures in-process LBL accesses per second under the two proxy kernel
+    configurations (scalar reference path, batched PRF/AEAD kernels), then
+    drives one batch through the sharded deployment's
     :class:`~repro.core.lbl.parallel.ParallelPrepareEngine` so
     ``--workers`` exercises the multi-core prepare path end to end.
 
     Args:
         workers: Prepare-pool threads for the sharded batch row
             (0 = serial).
-        label_cache: ``label_cache_entries`` for the cached rows
-            (-1 auto-sizes, ``None`` disables — the cached row is then
-            skipped).
         num_keys: Distinct keys in the workload.
         num_requests: Accesses per measured configuration.
         value_len: Object size in bytes (paper default 160).
-        crypto_backend: ``"auto"`` (default), ``"stdlib"``, ``"vector"``,
-            ``"scalar"`` (forces the per-label reference path on the
-            in-process rows), or ``"procpool"`` (the sharded-batch row
-            derives labels in a process pool).  See
-            ``repro run lbl --crypto-backend``.
+        crypto_backend: ``"stdlib"`` (default), ``"scalar"`` (forces the
+            per-label reference path on the in-process rows), or
+            ``"procpool"`` (the sharded-batch row derives labels in a
+            process pool).  See ``repro run lbl --crypto-backend``.
         coalesce_window: Flush-timer seconds for the sharded-batch row's
             prepare coalescing stage (``repro run lbl --coalesce-window``);
             ``0`` (default) keeps the per-request prepare path.
@@ -478,7 +472,7 @@ def lbl_kernels(
                 requests.append(Request.write(key, config.pad(b"updated")))
         return records, requests
 
-    known_backends = ("auto", "stdlib", "vector", "scalar", "procpool")
+    known_backends = ("stdlib", "scalar", "procpool")
     if crypto_backend not in known_backends:
         raise ConfigurationError(
             f"unknown crypto backend {crypto_backend!r}; expected one of "
@@ -487,41 +481,22 @@ def lbl_kernels(
     # "scalar" forces the per-label reference path; "procpool" only changes
     # the sharded-batch row (label derivation is a prepare-engine concern).
     force_scalar = crypto_backend == "scalar"
-    proxy_backend = (
-        "auto" if crypto_backend in ("scalar", "procpool") else crypto_backend
-    )
     prepare_backend = "procpool" if crypto_backend == "procpool" else "thread"
 
-    base = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
-    cached = replace(base, label_cache_entries=label_cache)
+    config = StoreConfig(value_len=value_len, group_bits=2, point_and_permute=True)
+    records, requests = _workload(config)
     rows: list[Row] = []
 
-    for mode, config, batched, warm in (
-        ("scalar", base, False, False),
-        ("batched", base, True, False),
-        ("batched+cache", cached, True, True),
-    ):
-        if warm and label_cache is None:
-            continue
-        records, requests = _workload(config)
+    for mode, batched in (("scalar", False), ("batched", True)):
         store = LblOrtoa(
-            config,
-            rng=random.Random(2),
-            batched=batched and not force_scalar,
-            crypto_backend=proxy_backend,
+            config, rng=random.Random(2), batched=batched and not force_scalar
         )
         store.initialize(records)
-        if warm:
-            for request in requests:  # populate + prefetch every key's epoch
-                store.access(request)
-        ops_per_sec = _measure(store, requests)
-        cache = store.proxy.label_cache
         rows.append(
             {
                 "mode": mode,
                 "workers": "-",
-                "ops_per_sec": round(ops_per_sec, 1),
-                "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
+                "ops_per_sec": round(_measure(store, requests), 1),
             }
         )
 
@@ -530,8 +505,6 @@ def lbl_kernels(
     from repro.core.sharded import ShardedLblDeployment
     from repro.transport.cluster import ShardCluster
 
-    config = cached if label_cache is not None else base
-    records, requests = _workload(config)
     with ShardCluster(1, point_and_permute=True, in_process=True) as cluster:
         deployment = ShardedLblDeployment(
             config,
@@ -539,7 +512,6 @@ def lbl_kernels(
             rng=random.Random(2),
             prepare_workers=workers,
             prepare_backend=prepare_backend,
-            crypto_backend=proxy_backend,
             coalesce_window=coalesce_window,
         )
         try:
@@ -547,7 +519,6 @@ def lbl_kernels(
             start = time.perf_counter()
             deployment.access_batch(requests)
             elapsed = time.perf_counter() - start
-            cache = deployment.proxy.label_cache
             rows.append(
                 {
                     "mode": (
@@ -557,7 +528,6 @@ def lbl_kernels(
                     ),
                     "workers": workers,
                     "ops_per_sec": round(len(requests) / elapsed, 1),
-                    "cache_hit_rate": round(cache.hit_rate, 3) if cache else "-",
                 }
             )
         finally:

@@ -2,7 +2,7 @@
 
 Polls one or more Prometheus scrape endpoints (shard servers started with
 ``metrics_port=``, see :func:`repro.obs.export.start_metrics_server`) and
-renders throughput, tail latency, cache effectiveness, and queue depth per
+renders throughput, tail latency, and queue depth per
 target.  Rates are derived by differencing successive scrapes, so the
 first refresh shows totals and every later one shows live ops/s.
 
@@ -64,7 +64,7 @@ def target_row(
     previous: Samples | None,
     interval_s: float,
 ) -> dict[str, Any]:
-    """One display row: throughput, percentiles, hit rate, queue depth."""
+    """One display row: throughput, percentiles, queue depth."""
     dispatched = _value(current, "repro_transport_requests_dispatched_total")
     ops_per_s = None
     if previous is not None and dispatched is not None and interval_s > 0:
@@ -107,7 +107,6 @@ def target_row(
                 {"quantile": "0.99"},
             )
         ),
-        "cache_hit_rate": _value(current, "repro_lbl_proxy_label_cache_hit_rate"),
         "queue_depth": in_flight,
         "span_errors": _value(current, "repro_trace_span_errors_total"),
         "shed_per_s": shed_per_s,
@@ -133,7 +132,7 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
     """Render rows as the fixed-width ``repro top`` table."""
     header = (
         f"{'TARGET':24s} {'REQS':>8s} {'OPS/S':>8s} {'MB/S':>7s} {'RT p50':>8s} "
-        f"{'RT p99':>8s} {'SVC p99':>8s} {'HIT%':>6s} {'QUEUE':>6s} {'ERRS':>5s} "
+        f"{'RT p99':>8s} {'SVC p99':>8s} {'QUEUE':>6s} {'ERRS':>5s} "
         f"{'SHED/S':>7s} {'OCC%':>5s} {'LAG':>6s} {'SWIN%':>6s}"
     )
     lines = [f"repro top — {len(rows)} target(s)  {refreshed_at}".rstrip(), header]
@@ -141,7 +140,6 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
         if not row["up"]:
             lines.append(f"{row['target']:24s} {'DOWN':>8s}")
             continue
-        hit = row["cache_hit_rate"]
         occ = row.get("in_flight_occupancy")
         swin = row.get("server_window_fill")
         lines.append(
@@ -152,7 +150,6 @@ def render_top(rows: list[dict[str, Any]], *, refreshed_at: str = "") -> str:
             f" {_cell(row['p50_ms'], '{:.2f}'):>8s}"
             f" {_cell(row['p99_ms'], '{:.2f}'):>8s}"
             f" {_cell(row['service_p99_ms'], '{:.2f}'):>8s}"
-            f" {_cell(None if hit is None else hit * 100.0):>6s}"
             f" {_cell(row['queue_depth'], '{:.0f}'):>6s}"
             f" {_cell(row['span_errors'], '{:.0f}'):>5s}"
             f" {_cell(row.get('shed_per_s')):>7s}"

@@ -86,20 +86,14 @@ class StoreConfig:
         group_bits: LBL space optimization ``y`` — how many plaintext bits one
             label represents (§10.1; ``y=2`` is the paper's optimum).
         point_and_permute: Enable the decryption-bits optimization (§10.2) so
-            the server decrypts exactly one ciphertext per group.
-        label_cache_entries: Proxy-side label cache capacity in epochs
-            (``(key, counter)`` entries).  ``None`` disables the cache;
-            ``-1`` sizes it automatically from
-            :data:`repro.core.lbl.cache.DEFAULT_LABEL_CACHE_BYTES`.  A warm
-            hit skips re-deriving the access's old labels (see
-            ``docs/performance.md``).
+            the server decrypts exactly one ciphertext per group.  The slot
+            index travels as one byte, so it requires ``group_bits <= 8``.
     """
 
     value_len: int = 160
     label_bits: int = 128
     group_bits: int = 1
     point_and_permute: bool = False
-    label_cache_entries: int | None = None
 
     def __post_init__(self) -> None:
         if self.value_len <= 0:
@@ -108,18 +102,13 @@ class StoreConfig:
             raise ConfigurationError("label_bits must be a positive multiple of 8")
         if self.group_bits < 1:
             raise ConfigurationError("group_bits must be >= 1")
-        if self.label_cache_entries is not None and self.label_cache_entries == 0:
+        if self.point_and_permute and self.group_bits > 8:
+            # The slot index is serialized in one byte
+            # (repro.core.lbl.proxy.DECRYPT_INDEX_BYTES).
             raise ConfigurationError(
-                "label_cache_entries must be None (disabled), -1 (auto), or >= 1"
+                "point_and_permute supports group_bits <= 8 "
+                "(one-byte slot index)"
             )
-        if self.label_cache_entries is not None and self.label_cache_entries < -1:
-            raise ConfigurationError(
-                "label_cache_entries must be None (disabled), -1 (auto), or >= 1"
-            )
-        if self.point_and_permute and self.group_bits == 1:
-            # Point-and-permute is defined over ciphertext tables of >= 2
-            # entries; it works for y=1 too (2-entry table), so allow it.
-            pass
 
     @property
     def value_bits(self) -> int:

@@ -115,24 +115,6 @@ def test_coalesced_matches_sequential_scalar(workload):
     }
 
 
-@settings(max_examples=4, deadline=None)
-@given(workload=WORKLOADS)
-def test_coalesced_matches_sequential_with_label_cache(workload):
-    """Same property with the label cache on: warm entries skip the fused
-    path (a cached epoch always wins) and must still decode identically."""
-    requests = _requests(workload)
-
-    scalar = _store(batched=False)
-    expected = [scalar.access(request).response.value for request in requests]
-
-    coalesced = _store(batched=True, label_cache_entries=-1)
-    actual = _run_coalesced(
-        coalesced, requests, coalesce_window=0.0005, coalesce_batch=4
-    )
-
-    assert actual == expected
-
-
 def test_coalesced_procpool_end_to_end():
     """Coalescing over the shared-memory procpool: fused worker batches
     feed fused table encrypts, and every access still decodes."""

@@ -106,6 +106,64 @@ def test_decode_with_corrupted_label_detects_tamper():
         codec.decode_labels("key", labels, counter=1)
 
 
+def _dict_scan_decode(codec, candidate_rows, labels):
+    """Reference decode: per-group dict lookup, first bad group raises."""
+    groups = []
+    for index, stored in enumerate(labels):
+        lookup = {label: value for value, label in enumerate(candidate_rows[index])}
+        value = lookup.get(stored)
+        if value is None:
+            raise TamperDetectedError(
+                f"label at group {index} matches no candidate: data was tampered"
+            )
+        groups.append(value)
+    return groups_to_value(groups, codec.group_bits, codec.value_len)
+
+
+def _verdict(decode, *args):
+    try:
+        return decode(*args)
+    except TamperDetectedError as exc:
+        return ("tampered", str(exc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    value_len=st.sampled_from([1, 2, 5, 16, 40, 160]),
+    group_bits=st.sampled_from([1, 2, 3, 8]),
+    counter=st.integers(min_value=0, max_value=1000),
+    data=st.data(),
+)
+def test_matrix_decode_matches_dict_scan(value_len, group_bits, counter, data):
+    """Same value or same first-failing group as a per-group dict scan.
+
+    Sizes run from one group (1 B at y=8) to the paper point (160 B at
+    y=2: 640 groups, 2,560 candidates); corrupted labels are either
+    same-length garbage or ragged (shorter or longer than a label).
+    """
+    codec = make_codec(value_len=value_len, group_bits=group_bits)
+    value = data.draw(st.binary(min_size=value_len, max_size=value_len))
+    labels = codec.encode_value("key", value, counter)
+    bad = data.draw(
+        st.lists(st.integers(0, codec.num_groups - 1), max_size=3, unique=True)
+    )
+    for index in bad:
+        labels[index] = data.draw(
+            st.one_of(
+                st.binary(min_size=codec.label_len, max_size=codec.label_len),
+                st.binary(max_size=codec.label_len - 1),
+                st.binary(
+                    min_size=codec.label_len + 1, max_size=codec.label_len + 4
+                ),
+            )
+        )
+    rows = codec.labels_for_groups("key", counter)
+    expected = _verdict(_dict_scan_decode, codec, rows, labels)
+    assert _verdict(codec.decode_from_candidates, rows, labels) == expected
+    if not bad:
+        assert expected == value
+
+
 def test_encode_value_rejects_wrong_length():
     codec = make_codec(value_len=4)
     with pytest.raises(ConfigurationError):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import aead
 from repro.crypto.labels import LabelCodec
-from repro.crypto.prf import Prf, PrfContext, encode_components
+from repro.crypto.prf import Prf, PrfContext, encode_components, hmac_sha256_pair
 
 # --------------------------------------------------------------------- #
 # Stdlib references for the documented constructions
@@ -69,6 +69,9 @@ _PRF48_VECTOR = bytes.fromhex(
     "27848d77f07f933c8a11ff0c70798110"
 )
 _LABEL_VECTOR = bytes.fromhex("aed0dee39cee3c6c5c3e4b40d74b25cd")
+_HMAC_RFC4231_CASE1 = bytes.fromhex(
+    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+)
 _AEAD_KEY = b"k" * 16
 _AEAD_PLAINTEXT = b"hello world label"
 _AEAD_VECTOR = bytes.fromhex(
@@ -98,6 +101,21 @@ def test_label_vector():
         group_bits=2,
     )
     assert codec.label("obj", 2, 1, 7) == _LABEL_VECTOR
+
+
+def test_hmac_rfc4231_case1():
+    """Both hand-rolled RFC 2104 forms reproduce RFC 4231 test case 1."""
+    key, message = b"\x0b" * 20, b"Hi There"
+    expected = _HMAC_RFC4231_CASE1
+    inner, outer = hmac_sha256_pair(key)
+    inner.update(message)
+    outer.update(inner.digest())
+    assert outer.digest() == expected
+    ipad, opad = aead.key_schedule(key)
+    assert (
+        hashlib.sha256(opad + hashlib.sha256(ipad + message).digest()).digest()
+        == expected
+    )
 
 
 def test_aead_vector_fixed_nonce():
@@ -192,6 +210,31 @@ def test_open_any_matches_try_decrypt(keys, winner, payload):
         None,
     )
     assert scalar == hit
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.binary(min_size=16, max_size=80),
+            st.binary(max_size=64),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_open_many_matches_try_decrypt(entries):
+    """Batched opens give try_decrypt's verdict per pair, wrong keys too."""
+    keys = [key for key, _, _ in entries]
+    ciphertexts = [
+        aead.encrypt(key if right else key[::-1] + b"x", payload)
+        for key, payload, right in entries
+    ]
+    assert aead.open_many(keys, ciphertexts) == [
+        aead.try_decrypt(key, ciphertext)
+        for key, ciphertext in zip(keys, ciphertexts)
+    ]
 
 
 @settings(max_examples=20, deadline=None)

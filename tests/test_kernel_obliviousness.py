@@ -1,7 +1,6 @@
 """Obliviousness regression for the batched kernel stack.
 
-Batching, the label cache, next-epoch prefetch, and the parallel prepare
-engine all live on the *proxy* side of the trust boundary — nothing the
+Batching and the parallel prepare engine both live on the *proxy* side of the trust boundary — nothing the
 server observes (request sizes, table shapes, decrypt counts, storage
 writes) may depend on them.  These tests run the
 :mod:`repro.obs` auditor over each configuration and require a clean
@@ -45,46 +44,10 @@ def test_audit_passes_with_batched_kernels():
     assert report.failures == []
 
 
-def test_audit_passes_with_label_cache_and_prefetch():
-    """Warm-cache accesses must be indistinguishable server-side.
-
-    :func:`run_audit` touches every key exactly once, which can never hit
-    the cache — so this builds the same balanced workload by hand, runs a
-    priming pass to populate + prefetch every key's epoch, and audits only
-    the second (fully warm) pass.
-    """
-    rng = random.Random(0)
-    protocol = LblOrtoa(
-        _config(label_cache_entries=-1), rng=random.Random(0), batched=True
-    )
-    keys = [f"audit-{i}" for i in range(16)]
-    requests = [
-        Request.read(key) if index < 8 else Request.write(key, bytes(16))
-        for index, key in enumerate(keys)
-    ]
-    rng.shuffle(requests)
-    protocol.initialize({key: bytes(16) for key in keys})
-    for request in requests:  # priming pass: every key cached + prefetched
-        protocol.access(request)
-
-    obs.enable()
-    TRACER.reset()
-    cache = protocol.proxy.label_cache
-    hits_before = cache.hits
-    for request in requests:
-        protocol.access(request)
-    spans = TRACER.spans(SERVER_SPAN)
-    report = audit_observations(
-        observations_from_spans(spans, [request.op for request in requests])
-    )
-    assert report.passed, report.summary()
-    assert cache.hits - hits_before == len(requests)  # every access was warm
-
-
 def test_audit_passes_on_base_protocol_batched():
     """Batched kernels under the §5.2 shuffled-table protocol."""
     protocol = LblOrtoa(
-        StoreConfig(value_len=16, label_cache_entries=-1),
+        StoreConfig(value_len=16),
         rng=random.Random(1),
         batched=True,
     )
@@ -95,14 +58,14 @@ def test_audit_passes_on_base_protocol_batched():
 def test_scalar_and_batched_requests_have_identical_shape():
     """The wire request leaks nothing about which kernel built it."""
     keychain = KeyChain(label_bits=128)
-    config = _config(label_cache_entries=-1)
+    config = _config()
     shapes = []
     for batched in (False, True):
         store = LblOrtoa(
             config, keychain=keychain, rng=random.Random(3), batched=batched
         )
         store.initialize({"k": bytes(16)})
-        store.access(Request.read("k"))  # warm the cache on the batched run
+        store.access(Request.read("k"))
         request, _ = store.proxy.prepare(Request.write("k", bytes(16)))
         wire = request.to_bytes()
         shapes.append(
@@ -126,7 +89,7 @@ def test_traced_frames_identical_shape_for_get_and_put():
     from repro.transport import framing
 
     keychain = KeyChain(label_bits=128)
-    config = _config(label_cache_entries=-1)
+    config = _config()
     store = LblOrtoa(config, keychain=keychain, rng=random.Random(5), batched=True)
     store.initialize({"k": bytes(16)})
     store.access(Request.read("k"))
@@ -153,7 +116,7 @@ def test_parallel_prepare_observations_match_serial():
     keychain = KeyChain(label_bits=128)
     for workers in (0, 4):
         obs.reset()
-        config = _config(label_cache_entries=-1)
+        config = _config()
         store = LblOrtoa(
             config, keychain=keychain, rng=random.Random(4), batched=True
         )
@@ -181,28 +144,20 @@ def test_parallel_prepare_observations_match_serial():
 def test_request_shape_identical_across_crypto_backends():
     """GET and PUT frames are byte-identically shaped under every backend.
 
-    The crypto backend (scalar reference path, stdlib batched kernels, the
-    numpy lane pipeline) is a proxy-side implementation detail; if any
+    The crypto backend (scalar reference path, stdlib batched kernels) is a
+    proxy-side implementation detail; if any
     backend changed the wire request's size or table geometry — for either
     op type — the deployment choice itself would become server-visible.
     """
     keychain = KeyChain(label_bits=128)
-    config = _config(label_cache_entries=-1)
+    config = _config()
     shapes = []
-    for batched, backend in (
-        (False, "auto"),
-        (True, "stdlib"),
-        (True, "vector"),
-    ):
+    for batched in (False, True):
         store = LblOrtoa(
-            config,
-            keychain=keychain,
-            rng=random.Random(3),
-            batched=batched,
-            crypto_backend=backend,
+            config, keychain=keychain, rng=random.Random(3), batched=batched
         )
         store.initialize({"k": bytes(16)})
-        store.access(Request.read("k"))  # warm the cache where it exists
+        store.access(Request.read("k"))
         for op_request in (Request.read("k"), Request.write("k", bytes(16))):
             request, _ = store.proxy.prepare(op_request)
             wire = request.to_bytes()
@@ -219,19 +174,6 @@ def test_request_shape_identical_across_crypto_backends():
     assert len(set(shapes)) == 1, shapes
 
 
-def test_audit_passes_with_vector_backend():
-    """The lane pipeline must leave server observations untouched."""
-    protocol = LblOrtoa(
-        _config(label_cache_entries=-1),
-        rng=random.Random(6),
-        batched=True,
-        crypto_backend="vector",
-    )
-    report = run_audit(protocol, num_keys=16, seed=6)
-    assert report.passed, report.summary()
-    assert report.failures == []
-
-
 def test_procpool_observations_match_thread_backend():
     """Server-visible features are identical whichever pool derived labels.
 
@@ -244,7 +186,7 @@ def test_procpool_observations_match_thread_backend():
     keychain = KeyChain(label_bits=128)
     for backend in ("thread", "procpool"):
         obs.reset()
-        config = _config(label_cache_entries=None)
+        config = _config()
         store = LblOrtoa(
             config, keychain=keychain, rng=random.Random(4), batched=True
         )

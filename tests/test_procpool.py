@@ -20,9 +20,7 @@ from repro.types import Request, StoreConfig
 
 
 def _store(**overrides) -> LblOrtoa:
-    params = dict(
-        value_len=32, group_bits=2, point_and_permute=True, label_cache_entries=None
-    )
+    params = dict(value_len=32, group_bits=2, point_and_permute=True)
     params.update(overrides)
     return LblOrtoa(StoreConfig(**params), rng=random.Random(3))
 
@@ -104,10 +102,7 @@ def test_engine_backends_produce_identical_protocol_results():
     values = {}
     keychain = KeyChain(label_bits=128)
     for backend in ("thread", "procpool"):
-        config = StoreConfig(
-            value_len=32, group_bits=2, point_and_permute=True,
-            label_cache_entries=None,
-        )
+        config = StoreConfig(value_len=32, group_bits=2, point_and_permute=True)
         store = LblOrtoa(config, keychain=keychain, rng=random.Random(3))
         store.initialize({f"k{i}": bytes([i]) * 32 for i in range(4)})
         requests = [
@@ -125,24 +120,6 @@ def test_engine_backends_produce_identical_protocol_results():
             value, _ = store.proxy.finalize(request.key, response, counter=epoch)
             values.setdefault(backend, []).append(value)
     assert values["thread"] == values["procpool"]
-
-
-def test_engine_procpool_with_label_cache_prefers_cache():
-    """A cached epoch short-circuits the worker round trip entirely."""
-    config = StoreConfig(
-        value_len=32, group_bits=2, point_and_permute=True, label_cache_entries=-1
-    )
-    store = LblOrtoa(config, rng=random.Random(3))
-    store.initialize({"hot": bytes(32)})
-    for _ in range(3):  # populate + prefetch the hot key's epochs
-        store.access(Request.read("hot"))
-    with ParallelPrepareEngine(store.proxy, workers=1, backend="procpool") as eng:
-        hits_before = store.proxy.label_cache.hits
-        (lbl_request, _, epoch), = eng.prepare_batch([Request.read("hot")])
-        response, _ = store.server.process(lbl_request)
-        value, _ = store.proxy.finalize("hot", response, counter=epoch)
-        assert value == bytes(32)
-        assert store.proxy.label_cache.hits == hits_before + 1
 
 
 def test_engine_rejects_unknown_backend():

@@ -102,6 +102,36 @@ def test_config_validation():
         StoreConfig(value_len=8, group_bits=0)
 
 
+def test_config_point_and_permute_needs_one_byte_slot_index():
+    """The permuted slot index travels as one byte, so y <= 8."""
+    with pytest.raises(errors.ConfigurationError):
+        StoreConfig(value_len=2, group_bits=9, point_and_permute=True)
+    StoreConfig(value_len=2, group_bits=9)  # base protocol has no slot byte
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_point_and_permute_at_largest_group_size(batched):
+    """y = 8 is the widest point-and-permute table; its slot bytes fit.
+
+    Driven through prepare/process/finalize directly: the wire request's
+    one-byte table-size header cannot encode a 256-entry table.
+    """
+    from repro.core.lbl import LblOrtoa
+    from repro.types import Request
+
+    config = StoreConfig(value_len=2, group_bits=8, point_and_permute=True)
+    store = LblOrtoa(config, batched=batched)
+    store.initialize({"k": b"\x01\xfe"})
+    for request, expected in (
+        (Request.read("k"), b"\x01\xfe"),
+        (Request.write("k", b"\xff\x00"), b"\xff\x00"),
+        (Request.read("k"), b"\xff\x00"),
+    ):
+        lbl_request, _ = store.proxy.prepare(request)
+        response, _ = store.server.process(lbl_request)
+        assert store.proxy.finalize("k", response)[0] == expected
+
+
 # --------------------------------------------------------------------- #
 # Stats and samples
 # --------------------------------------------------------------------- #
